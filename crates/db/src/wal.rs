@@ -230,10 +230,11 @@ pub fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 // --- Writer ---
 
 /// Appends accumulate in this user-space buffer and hit the file in
-/// batches — one `write` syscall per append would dominate the cost of
-/// the `Off` policy. Sync points always flush first, so the durability
-/// guarantees are unchanged; only the *unsynced* window moves from the
-/// page cache into the process.
+/// batches — one `write` per group close (see [`Wal::commit_group`]),
+/// or earlier once a large group fills the buffer, instead of one per
+/// append. Every group close writes the buffer through under every
+/// fsync policy, so readers of the files (replay, the WAL shipper's
+/// tailer) see each closed group; only a sync point makes it durable.
 const FLUSH_BYTES: usize = 64 * 1024;
 
 /// The append-only writer over the active segment.
@@ -394,12 +395,14 @@ impl Wal {
     /// whole group with one `fsync`, `EveryN(n)` syncs when `n` or more
     /// appends are pending, `Off` never syncs. This is the group-commit
     /// leader's closing step — one policy decision (and at most one
-    /// fsync) per group instead of one per record.
+    /// fsync) per group instead of one per record. A group that is not
+    /// synced is still written through to the file: a tailer must not
+    /// wait for later appends to see it.
     pub fn commit_group(&mut self) -> io::Result<()> {
         match self.fsync {
             FsyncPolicy::Always if self.unsynced_appends > 0 => self.sync(),
             FsyncPolicy::EveryN(n) if self.unsynced_appends >= n.max(1) => self.sync(),
-            _ => Ok(()),
+            _ => self.flush_buf(),
         }
     }
 
@@ -843,6 +846,26 @@ mod tests {
         assert_eq!(wal.fsync_count(), 1);
         assert_eq!(wal.unsynced_appends(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unsynced_groups_reach_the_file_at_group_close() {
+        for policy in [FsyncPolicy::Off, FsyncPolicy::EveryN(8)] {
+            let dir = tmp_dir("group-visible");
+            let mut wal = Wal::create(&dir, policy, 1 << 20, 1).unwrap();
+            for i in 0..3u32 {
+                wal.append_deferred(&encode_trade(&trade(i, 0.0))).unwrap();
+            }
+            wal.commit_group().unwrap();
+            wal.append(&encode_trade(&trade(3, 0.0))).unwrap();
+            assert_eq!(wal.fsync_count(), 0, "{policy:?}: no sync point yet");
+            // A reader of the files sees every closed group while the
+            // writer is still open.
+            let records = replay_dir(&dir, 0).unwrap().records;
+            assert_eq!(records.len(), 4, "{policy:?}");
+            drop(wal);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

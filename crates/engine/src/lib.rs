@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod accept;
 mod clock;
 pub mod config;
 pub mod durability;
@@ -73,6 +74,7 @@ pub mod stats;
 pub mod supervisor;
 pub mod virt;
 
+pub use accept::{accept_until_stopped, wake_acceptor};
 pub use config::{EngineConfig, LivePolicy};
 pub use durability::{DurabilityConfig, GroupCommitConfig};
 pub use fault::{FaultPlan, LinkFaultPlan, UpdateBurst};

@@ -249,7 +249,7 @@ impl Router {
         primary: &EngineHandle,
         qc: &QualityContract,
     ) -> Option<(ReplicaHandle, u64)> {
-        let primary_lsn = primary.stats().wal_last_lsn;
+        let primary_lsn = primary.wal_last_lsn();
         let slots = self.slots.read().expect("router slots lock");
         let mut best: Option<(usize, u64)> = None;
         for (i, slot) in slots.iter().enumerate() {

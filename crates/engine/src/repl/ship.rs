@@ -28,6 +28,7 @@
 //! floor for, so even a resume LSN below our floor proves nothing.
 //! Acks are only trusted when they echo our own term.
 
+use crate::accept::{accept_until_stopped, wake_acceptor};
 use crate::fault::LinkFaultPlan;
 use crate::repl::wire::{self, Ack};
 use crate::runtime::EngineHandle;
@@ -297,7 +298,6 @@ impl ShipListener {
         let dir = dir.into();
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let registry = Arc::new(ShipRegistry::default());
         registry
             .term
@@ -357,6 +357,7 @@ impl ShipListener {
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
+            wake_acceptor(self.addr);
             let _ = h.join();
         }
     }
@@ -377,30 +378,22 @@ fn accept_loop(
     epoch: Instant,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let dir = dir.clone();
-                let config = config.clone();
-                let registry = Arc::clone(&registry);
-                let stop = Arc::clone(&stop);
-                let handle = thread::Builder::new()
-                    .name("quts-ship-conn".into())
-                    .spawn(move || {
-                        // Shipping errors close the connection; the
-                        // replica reconnects and resumes.
-                        let _ = ship_connection(stream, &dir, &config, &registry, &stop, epoch);
-                    })
-                    .expect("spawn shipper");
-                conns.push(handle);
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
-    }
+    accept_until_stopped(&listener, &stop, |stream| {
+        let dir = dir.clone();
+        let config = config.clone();
+        let registry = Arc::clone(&registry);
+        let stop = Arc::clone(&stop);
+        let handle = thread::Builder::new()
+            .name("quts-ship-conn".into())
+            .spawn(move || {
+                // Shipping errors close the connection; the
+                // replica reconnects and resumes.
+                let _ = ship_connection(stream, &dir, &config, &registry, &stop, epoch);
+            })
+            .expect("spawn shipper");
+        conns.push(handle);
+        conns.retain(|h| !h.is_finished());
+    });
     for h in conns {
         let _ = h.join();
     }

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::AtomicU8;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -272,6 +272,9 @@ pub struct EngineHandle {
     /// reaches the scheduler or is drained *and counted* as shed; none
     /// can slip into the channel after the final drain and vanish.
     gate: Arc<RwLock<()>>,
+    /// `LiveStats::wal_last_lsn`, readable without the stats lock (see
+    /// [`EngineHandle::wal_last_lsn`]).
+    wal_last_lsn: Arc<AtomicU64>,
 }
 
 impl Engine {
@@ -347,6 +350,7 @@ impl Engine {
 
     fn spawn(seed: EngineSeed, config: EngineConfig, init: LiveStats) -> Engine {
         let (tx, rx) = bounded(config.queue_capacity);
+        let wal_last_lsn = Arc::new(AtomicU64::new(init.wal_last_lsn));
         let stats = Arc::new(Mutex::new(init));
         let state = Arc::new(AtomicU8::new(STATE_RUNNING));
         let faults = Arc::new(FaultState::default());
@@ -372,6 +376,7 @@ impl Engine {
         let shared_ring = ring.clone();
         let shared_flight = flight.clone();
         let shared_gate = Arc::clone(&gate);
+        let shared_wal_last_lsn = Arc::clone(&wal_last_lsn);
         let thread = std::thread::Builder::new()
             .name("quts-engine".into())
             .spawn(move || {
@@ -385,6 +390,7 @@ impl Engine {
                     shared_ring,
                     shared_flight,
                     shared_gate,
+                    shared_wal_last_lsn,
                 )
             })
             .expect("spawn engine thread");
@@ -398,6 +404,7 @@ impl Engine {
                 seed: trace_seed,
                 epoch: Instant::now(),
                 gate,
+                wal_last_lsn,
             },
             thread,
         }
@@ -575,6 +582,13 @@ impl EngineHandle {
         self.stats.lock().clone()
     }
 
+    /// The LSN of the last WAL record appended (0 without durability) —
+    /// `stats().wal_last_lsn` without cloning the stats under the lock
+    /// the scheduler also takes. Read routing calls it per request.
+    pub fn wal_last_lsn(&self) -> u64 {
+        self.wal_last_lsn.load(Ordering::Acquire)
+    }
+
     /// Snapshot of the decision-trace ring, oldest first, or `None`
     /// unless the engine was started with trace level `Full`.
     pub fn trace_snapshot(&self) -> Option<Vec<TraceRecord>> {
@@ -667,6 +681,8 @@ pub(crate) struct Runtime<'a> {
     config: EngineConfig,
     rx: Receiver<Msg>,
     stats: Arc<Mutex<LiveStats>>,
+    /// Published on every append, beside `LiveStats::wal_last_lsn`.
+    wal_last_lsn: Arc<AtomicU64>,
     faults: Arc<FaultState>,
 
     // Query queue: the shared priority queue from `quts-sched` (VRD
@@ -744,6 +760,7 @@ impl<'a> Runtime<'a> {
         config: &EngineConfig,
         rx: Receiver<Msg>,
         stats: Arc<Mutex<LiveStats>>,
+        wal_last_lsn: Arc<AtomicU64>,
         faults: Arc<FaultState>,
         ring: Option<Arc<Mutex<TraceRing>>>,
         flight: Option<Arc<Mutex<FlightRecorder>>>,
@@ -794,6 +811,7 @@ impl<'a> Runtime<'a> {
             config: config.clone(),
             rx,
             stats,
+            wal_last_lsn,
             faults,
             ring,
             flight,
@@ -1208,6 +1226,7 @@ impl<'a> Runtime<'a> {
         if let Some(lsn) = logged {
             s.wal_appended += 1;
             s.wal_last_lsn = lsn;
+            self.wal_last_lsn.store(lsn, Ordering::Release);
         }
         s.wal_fsyncs += fsync_delta;
         self.set_depth_gauges(&mut s);
@@ -1376,6 +1395,7 @@ impl<'a> Runtime<'a> {
         if let Some(first) = first_lsn {
             s.wal_appended += entries.len() as u64;
             s.wal_last_lsn = first + entries.len() as u64 - 1;
+            self.wal_last_lsn.store(s.wal_last_lsn, Ordering::Release);
         }
         s.updates_invalidated += invalidated;
         s.updates_dropped_overload += dropped;

@@ -30,7 +30,7 @@ use parking_lot::{Mutex, RwLock};
 use quts_db::{StalenessTracker, Store, Trade};
 use quts_metrics::{FlightRecorder, TraceRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -134,6 +134,7 @@ pub(crate) fn supervise(
     ring: Option<Arc<Mutex<TraceRing>>>,
     flight: Option<Arc<Mutex<FlightRecorder>>>,
     gate: Arc<RwLock<()>>,
+    wal_last_lsn: Arc<AtomicU64>,
 ) {
     let EngineSeed {
         mut store,
@@ -151,6 +152,7 @@ pub(crate) fn supervise(
                 &config,
                 rx.clone(),
                 Arc::clone(&stats),
+                Arc::clone(&wal_last_lsn),
                 Arc::clone(&faults),
                 ring.clone(),
                 flight.clone(),

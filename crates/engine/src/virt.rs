@@ -114,6 +114,7 @@ pub fn run_virtual(
             config,
             rx,
             Arc::clone(&stats),
+            Arc::default(),
             Arc::new(FaultState::default()),
             ring.clone(),
             None,

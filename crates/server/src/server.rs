@@ -15,9 +15,10 @@
 use crate::protocol::{parse, Request};
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
-    merge_shard_stats, ClusterHandle, Engine, EngineConfig, EngineHandle, LiveStats, QueryError,
-    QueryReply, ReplicaHandle, RoutedReadError, Router, RouterConfig, ShardConfig, ShardedEngine,
-    ShardedHandle, ShipConfig, ShipListener, ShipRegistry, ShipTrace, SubmitError, TraceConfig,
+    accept_until_stopped, merge_shard_stats, wake_acceptor, ClusterHandle, Engine, EngineConfig,
+    EngineHandle, LiveStats, QueryError, QueryReply, ReplicaHandle, RoutedReadError, Router,
+    RouterConfig, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig, ShipListener,
+    ShipRegistry, ShipTrace, SubmitError, TraceConfig,
 };
 use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
@@ -145,9 +146,6 @@ impl Drop for ConnGuard {
     }
 }
 
-/// How often the acceptor re-checks the shutdown flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
 impl Server {
     /// Starts an engine over `store` and serves it on `config.addr`.
     ///
@@ -180,9 +178,6 @@ impl Server {
             ));
         }
         let listener = TcpListener::bind(config.addr)?;
-        // Nonblocking accept lets the acceptor observe the shutdown flag
-        // without needing a wake-up connection.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (engine, sharded_engine) = if config.shards > 1 {
             let sharded = ShardedEngine::try_start(
@@ -237,15 +232,9 @@ impl Server {
         let acceptor = std::thread::Builder::new()
             .name("quts-server-accept".into())
             .spawn(move || {
-                while !accept_shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => accept_one(stream, &shared),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => std::thread::sleep(ACCEPT_POLL),
-                    }
-                }
+                accept_until_stopped(&listener, &accept_shutdown, |stream| {
+                    accept_one(stream, &shared);
+                });
             })
             .expect("spawn acceptor");
 
@@ -309,6 +298,7 @@ impl Server {
     pub fn shutdown(mut self) -> LiveStats {
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
+            wake_acceptor(self.addr);
             let _ = acceptor.join();
         }
         if let Some(ship) = self.ship.take() {
@@ -321,12 +311,10 @@ impl Server {
     }
 }
 
-fn accept_one(stream: TcpStream, shared: &Arc<Shared>) {
-    // The listener's nonblocking mode can be inherited by the accepted
-    // socket; connection handling is blocking (with a read timeout).
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
+fn accept_one(mut stream: TcpStream, shared: &Arc<Shared>) {
+    // Each reply is one write of a whole line (see `send_reply`); with
+    // Nagle off it leaves at once instead of waiting on an ACK.
+    let _ = stream.set_nodelay(true);
     let active = &shared.active_connections;
     if active
         .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
@@ -334,8 +322,7 @@ fn accept_one(stream: TcpStream, shared: &Arc<Shared>) {
         })
         .is_err()
     {
-        let mut stream = stream;
-        let _ = writeln!(stream, "ERR busy");
+        let _ = send_reply(&mut stream, "ERR busy".into());
         return;
     }
     let guard = ConnGuard {
@@ -368,15 +355,20 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         }
         let response = match parse(&line) {
             Err(e) => format!("ERR {e}"),
-            Ok(Request::Quit) => {
-                writeln!(writer, "BYE")?;
-                return Ok(());
-            }
+            Ok(Request::Quit) => return send_reply(&mut writer, "BYE".into()),
             Ok(request) => handle(request, shared),
         };
-        writeln!(writer, "{response}")?;
+        send_reply(&mut writer, response)?;
     }
     Ok(())
+}
+
+/// Sends one response — a single line or a multi-line body — and its
+/// final newline in one write, so the whole reply leaves as one segment
+/// and never waits on the client's delayed ACK for a trailing fragment.
+fn send_reply(stream: &mut TcpStream, mut response: String) -> io::Result<()> {
+    response.push('\n');
+    stream.write_all(response.as_bytes())
 }
 
 fn handle(request: Request, shared: &Shared) -> String {
@@ -457,7 +449,7 @@ fn render_repl_status(shared: &Shared) -> String {
     if shared.router.is_none() && shared.registry.is_none() {
         return "ERR replication disabled".into();
     }
-    let primary_lsn = shared.handle.stats().wal_last_lsn;
+    let primary_lsn = shared.handle.wal_last_lsn();
     let mut out = format!("OK replication primary_lsn={primary_lsn}");
     // Role and term. The serving node is by definition the primary of
     // its term; the term itself comes from the cluster controller when
@@ -947,7 +939,7 @@ fn render_metrics(shared: &Shared) -> String {
             r.repoints,
         );
     }
-    // `writeln!` in the connection loop supplies the final newline.
+    // `send_reply` in the connection loop supplies the final newline.
     let text = exp.finish();
     text.trim_end().to_string()
 }
@@ -1021,6 +1013,7 @@ mod tests {
         fn try_connect(addr: SocketAddr) -> io::Result<Client> {
             let stream = TcpStream::connect(addr)?;
             stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+            stream.set_nodelay(true)?;
             Ok(Client {
                 reader: BufReader::new(stream.try_clone()?),
                 writer: stream,
@@ -1031,9 +1024,14 @@ mod tests {
             Client::try_connect(addr).expect("connect")
         }
 
+        /// Sends one request line and its newline in a single write.
+        fn write_line(&mut self, line: &str) -> io::Result<()> {
+            self.writer.write_all(format!("{line}\n").as_bytes())
+        }
+
         /// Fallible request/response round trip.
         fn try_send(&mut self, line: &str) -> io::Result<String> {
-            writeln!(self.writer, "{line}")?;
+            self.write_line(line)?;
             self.try_read()
         }
 
@@ -1061,7 +1059,7 @@ mod tests {
         /// Sends a line and reads the multi-line response up to and
         /// including the `# EOF` terminator.
         fn send_multiline(&mut self, line: &str) -> Vec<String> {
-            writeln!(self.writer, "{line}").expect("send");
+            self.write_line(line).expect("send");
             let mut lines = Vec::new();
             loop {
                 let l = self.read();
@@ -1276,7 +1274,10 @@ mod tests {
             if r.starts_with("OK price=150.50") {
                 break;
             }
-            assert!(std::time::Instant::now() < deadline, "update never applied: {r}");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "update never applied: {r}"
+            );
             std::thread::yield_now();
         }
 
@@ -1661,10 +1662,58 @@ mod tests {
         assert!(c.send("GET IBM").starts_with("OK"));
         std::thread::sleep(Duration::from_millis(400));
         // The server closed the socket: the next read sees EOF.
-        writeln!(c.writer, "GET IBM").expect("send");
+        c.write_line("GET IBM").expect("send");
         let mut response = String::new();
         let n = c.reader.read_line(&mut response).unwrap_or(0);
         assert_eq!(n, 0, "expected EOF after idle timeout, got {response:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn warm_connection_round_trips_do_not_wait_on_delayed_acks() {
+        // A reply split over two segments leaves its second one only
+        // when the client's delayed ACK fires (about 40 ms on Linux).
+        let server = test_server();
+        let mut c = Client::connect(server.addr());
+        assert!(c.send("GET IBM").starts_with("OK"));
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            assert!(c.send("GET IBM").starts_with("OK"));
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "50 round trips took {took:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn fresh_sessions_are_accepted_without_a_poll_delay() {
+        let server = test_server();
+        let started = std::time::Instant::now();
+        for _ in 0..100 {
+            let mut c = Client::connect(server.addr());
+            assert!(c.send("GET IBM").starts_with("OK"));
+            assert_eq!(c.send("QUIT"), "BYE");
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "100 sessions took {took:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_an_acceptor_bound_to_an_unspecified_address() {
+        let server = test_server_with(ServerConfig {
+            addr: "0.0.0.0:0".parse().expect("static address"),
+            ..ServerConfig::default()
+        });
+        let started = std::time::Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     }
 }

@@ -206,6 +206,49 @@ fn replica_converges_and_wal_is_byte_identical_prefix() {
 }
 
 #[test]
+fn unsynced_primary_ships_everything_once_writes_stop() {
+    // Under `Off` no sync point ever writes the WAL's buffer out; every
+    // group close must, or the tailer — which reads the files — leaves
+    // the replica behind until later appends fill the buffer.
+    let n = iters(64, 512) as u32;
+    for group in [None, Some(GroupCommitConfig::default())] {
+        let tmp = TempDir::new("fsync-off");
+        let mut durability = DurabilityConfig::new(tmp.sub("primary")).with_fsync(FsyncPolicy::Off);
+        durability.group_commit = group;
+        let engine = Engine::try_start(
+            Store::with_synthetic_stocks(8),
+            EngineConfig::default().with_durability(durability),
+        )
+        .unwrap();
+        let ship = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+        let replica =
+            Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
+        for i in 0..n {
+            engine
+                .submit_update(trade(i % 8, 20.0 + f64::from(i)))
+                .unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.handle().wal_last_lsn() < u64::from(n) {
+            assert!(Instant::now() < deadline, "primary never logged the feed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Writes have stopped: the replica must reach the primary's last
+        // LSN with no further appends to push the tail out.
+        let stats = await_applied(&replica, u64::from(n));
+        assert_eq!(
+            stats.applied_lsn,
+            engine.handle().wal_last_lsn(),
+            "{group:?}"
+        );
+        assert_eq!(engine.stats().wal_last_lsn, u64::from(n), "{group:?}");
+        replica.shutdown();
+        ship.shutdown();
+        engine.shutdown();
+    }
+}
+
+#[test]
 fn link_faults_cost_retries_never_correctness() {
     let tmp = TempDir::new("linkfaults");
     let engine = Engine::try_start(
